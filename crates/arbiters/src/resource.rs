@@ -1,7 +1,7 @@
 //! A shared resource guarded by an arbiter.
 
 use vpc_sim::trace::{self, EventData, ResourceId, TraceEvent};
-use vpc_sim::{Cycle, ThreadId, UtilizationMeter, MAX_THREADS};
+use vpc_sim::{Cycle, Share, ThreadId, UtilizationMeter, MAX_THREADS};
 
 use crate::arbiter::Arbiter;
 use crate::request::ArbRequest;
@@ -29,6 +29,10 @@ use crate::request::ArbRequest;
 #[derive(Debug)]
 pub struct ArbitratedResource {
     arbiter: Box<dyn Arbiter>,
+    /// Requests in `arbiter`: raised by [`ArbitratedResource::enqueue`],
+    /// lowered by a grant. While it is zero, [`ArbitratedResource::try_grant`]
+    /// returns before the dynamic `select` call.
+    queued: usize,
     busy_until: Cycle,
     meter: UtilizationMeter,
     per_thread_busy: [u64; MAX_THREADS],
@@ -44,6 +48,7 @@ impl ArbitratedResource {
     pub fn new(arbiter: Box<dyn Arbiter>) -> ArbitratedResource {
         ArbitratedResource {
             arbiter,
+            queued: 0,
             busy_until: 0,
             meter: UtilizationMeter::default(),
             per_thread_busy: [0; MAX_THREADS],
@@ -65,6 +70,7 @@ impl ArbitratedResource {
     /// Enters `req` into arbitration at `now`.
     pub fn enqueue(&mut self, req: ArbRequest, now: Cycle) {
         self.arbiter.enqueue(req, now);
+        self.queued += 1;
     }
 
     /// Whether the resource is servicing a request at `now`.
@@ -77,10 +83,11 @@ impl ArbitratedResource {
     /// granted request is returned so the owner can advance its state
     /// machine.
     pub fn try_grant(&mut self, now: Cycle) -> Option<ArbRequest> {
-        if self.is_busy(now) {
+        if self.queued == 0 || self.is_busy(now) {
             return None;
         }
         let req = self.arbiter.select(now)?;
+        self.queued -= 1;
         self.busy_until = now + req.service_time;
         self.meter.add_busy(req.service_time);
         self.per_thread_busy[req.thread.index()] += req.service_time;
@@ -119,7 +126,7 @@ impl ArbitratedResource {
 
     /// Number of requests pending in arbitration.
     pub fn pending(&self) -> usize {
-        self.arbiter.len()
+        self.queued
     }
 
     /// Total requests granted.
@@ -138,9 +145,10 @@ impl ArbitratedResource {
         self.per_thread_busy[thread.index()]
     }
 
-    /// Access to the underlying arbiter (e.g. to reconfigure VPC shares).
-    pub fn arbiter_mut(&mut self) -> &mut dyn Arbiter {
-        self.arbiter.as_mut()
+    /// Reconfigures `thread`'s share in the underlying arbiter (the VPC
+    /// control registers). Returns `false` if the arbiter has no shares.
+    pub fn reconfigure_share(&mut self, thread: ThreadId, share: Share) -> bool {
+        self.arbiter.reconfigure_share(thread, share)
     }
 
     /// The earliest cycle at which this resource can change observable
@@ -154,7 +162,7 @@ impl ArbitratedResource {
     /// real state change, which is the direction the quiescence protocol
     /// requires (see `DESIGN.md` §10).
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if self.arbiter.is_empty() {
+        if self.queued == 0 {
             None
         } else {
             Some(self.busy_until.max(now + 1))
@@ -204,6 +212,19 @@ mod tests {
         assert_eq!(res.thread_busy_cycles(ThreadId(0)), 8);
         assert_eq!(res.thread_busy_cycles(ThreadId(1)), 16);
         assert_eq!(res.meter().busy_cycles(), 24);
+    }
+
+    #[test]
+    fn drained_resource_grants_again_once_refilled() {
+        let mut res = ArbitratedResource::new(Box::new(FcfsArbiter::new()));
+        res.enqueue(req(1, 4), 0);
+        assert_eq!(res.try_grant(0).unwrap().id, 1);
+        assert!(res.try_grant(4).is_none(), "drained");
+        assert_eq!(res.pending(), 0);
+        res.enqueue(req(2, 4), 6);
+        assert_eq!(res.pending(), 1);
+        assert_eq!(res.try_grant(6).unwrap().id, 2, "refilled resource grants");
+        assert_eq!(res.pending(), 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn parse_workload(name: &str) -> Result<WorkloadSpec, String> {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         workloads: vec![
             WorkloadSpec::Spec("art"),
@@ -70,7 +70,7 @@ fn parse_args() -> Result<Args, String> {
         trace: None,
         metrics: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
@@ -131,6 +131,19 @@ fn parse_args() -> Result<Args, String> {
     if args.shares.len() != args.workloads.len() {
         return Err("need exactly one share per workload".into());
     }
+    if Share::checked_sum(args.shares.iter().copied()).is_none() {
+        let sum: f64 = args.shares.iter().map(|s| s.as_f64()).sum();
+        return Err(format!(
+            "--shares sum to {sum:.3}; shares over-commit the cache unless they sum to at most 1"
+        ));
+    }
+    let sets = CmpConfig::table1().l2.total_sets;
+    if args.banks == 0 || !sets.is_multiple_of(args.banks) {
+        return Err(format!(
+            "--banks {}: the bank count must divide the L2's {sets} sets evenly",
+            args.banks
+        ));
+    }
     Ok(args)
 }
 
@@ -149,7 +162,7 @@ fn build_arbiter(args: &Args) -> Result<ArbiterPolicy, String> {
 
 fn run() -> Result<(), String> {
     vpc_bench::skip_from_args();
-    let args = parse_args()?;
+    let args = parse_args(std::env::args().skip(1))?;
     // Installed process-wide so any pooled work (and future parallel
     // paths) honors the flag; the single CmpSystem run itself is serial.
     exec::set_jobs(args.jobs);
@@ -262,5 +275,33 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn bank_counts_that_do_not_divide_the_sets_are_rejected() {
+        for banks in ["0", "3"] {
+            let err = parse(&["--banks", banks]).expect_err("bank count must be rejected");
+            assert!(err.contains(&format!("--banks {banks}")), "{err}");
+            assert!(err.contains("8192 sets"), "{err}");
+        }
+        assert_eq!(parse(&["--banks", "4"]).expect("4 divides 8192").banks, 4);
+    }
+
+    #[test]
+    fn over_committed_shares_are_rejected() {
+        let args = ["--workloads", "Loads,Stores,Stores,Stores", "--shares", "3/4,3/4,1/4,1/4"];
+        let err = parse(&args).expect_err("shares summing to 2 must be rejected");
+        assert!(err.contains("sum to 2.000"), "{err}");
+        let args = ["--workloads", "Loads,Stores,Stores,Stores", "--shares", "1/2,1/4,1/8,1/8"];
+        assert!(parse(&args).is_ok(), "shares summing to exactly 1 are accepted");
     }
 }

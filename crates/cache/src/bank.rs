@@ -345,9 +345,9 @@ impl L2Bank {
     /// resources (the VPC control registers). Returns `false` if the
     /// configured arbiters do not support shares.
     pub fn reconfigure_bandwidth(&mut self, thread: ThreadId, share: vpc_sim::Share) -> bool {
-        let a = self.tag.arbiter_mut().reconfigure_share(thread, share);
-        let b = self.data.arbiter_mut().reconfigure_share(thread, share);
-        let c = self.bus.arbiter_mut().reconfigure_share(thread, share);
+        let a = self.tag.reconfigure_share(thread, share);
+        let b = self.data.reconfigure_share(thread, share);
+        let c = self.bus.reconfigure_share(thread, share);
         a && b && c
     }
 
@@ -537,7 +537,7 @@ impl L2Bank {
 
     fn finish_tag_lookup(&mut self, sm_idx: usize, sm: Sm, now: Cycle) {
         let set = self.cfg.set_of(sm.line);
-        let hit = self.sets[set].lookup(sm.line).is_some();
+        let hit_way = self.sets[set].lookup(sm.line);
         trace::emit(|| TraceEvent {
             at: now,
             data: EventData::BankAccess {
@@ -545,10 +545,10 @@ impl L2Bank {
                 thread: sm.thread,
                 line: sm.line,
                 kind: sm.kind,
-                hit,
+                hit: hit_way.is_some(),
             },
         });
-        if let Some(way) = self.sets[set].lookup(sm.line) {
+        if let Some(way) = hit_way {
             // Hit.
             self.sets[set].touch(way, now);
             let service = if sm.kind.is_read() {
@@ -647,12 +647,16 @@ impl L2Bank {
         // One request enters the controller pipeline per L2 cycle.
         let threads = self.cfg.threads;
         for offset in 0..threads {
-            let t = (self.rr_next + offset) % threads;
+            // `rr_next < threads`, so one subtraction wraps the index (a
+            // `%` here is a hardware divide on every visit).
+            let t = self.rr_next + offset;
+            let t = if t < threads { t } else { t - threads };
             self.ports[t].pump(now);
-            let Some(candidate) = self.ports[t].peek_candidate(now) else { continue };
             if self.sm_used[t] >= self.cfg.sm_per_thread {
+                self.ports[t].mark_partial_flush();
                 continue;
             }
+            let Some(candidate) = self.ports[t].peek_candidate(now) else { continue };
             let line = candidate.request.line;
             // Consistency conflict check: no active SM may work on the same
             // line (also merges secondary misses by making them wait).

@@ -21,8 +21,6 @@ struct SgbEntry {
     line: LineAddr,
     /// Original request token of the first store gathered into the entry.
     token: u64,
-    /// Entry must retire before any load bypasses (partial flush marker).
-    flush: bool,
 }
 
 /// Statistics the paper's Figure 7 reports per benchmark.
@@ -69,11 +67,22 @@ pub struct ThreadPort {
     loads: VecDeque<CacheRequest>,
     /// Gathered stores, oldest first.
     sgb: VecDeque<SgbEntry>,
+    /// Partial-flush marker: the oldest `flushing` entries must retire
+    /// before any load bypasses. The marked entries are always a prefix of
+    /// `sgb` (marking happens only while none are marked, retirement pops
+    /// the front, and new entries join the back), so one count replaces a
+    /// flag per entry and [`ThreadPort::row_inverted`] is O(1).
+    flushing: usize,
     capacity: usize,
     retire_at: usize,
     idle_drain: Option<u64>,
     /// Last cycle a store entered or retired (for idle draining).
     last_store_activity: Cycle,
+    /// The head of `in_q` is a store that can neither gather nor allocate
+    /// an entry in the full SGB. Set by [`ThreadPort::pump`]; cleared only
+    /// when [`ThreadPort::take_candidate`] retires a store, the one event
+    /// that frees an entry, so `pump` has nothing to do until then.
+    head_stalled: bool,
     stats: SgbStats,
 }
 
@@ -96,10 +105,12 @@ impl ThreadPort {
             in_q: VecDeque::new(),
             loads: VecDeque::new(),
             sgb: VecDeque::new(),
+            flushing: 0,
             capacity,
             retire_at,
             idle_drain,
             last_store_activity: 0,
+            head_stalled: false,
             stats: SgbStats::default(),
         }
     }
@@ -121,8 +132,12 @@ impl ThreadPort {
     }
 
     /// Moves arrived input-queue requests into the load queue / SGB, in
-    /// order. Stops at a store that cannot allocate an SGB entry.
+    /// order. Stops at a store that cannot allocate an SGB entry, and
+    /// returns at once while that store waits for a store to retire.
     pub fn pump(&mut self, now: Cycle) {
+        if self.head_stalled {
+            return;
+        }
         while let Some(&(ready_at, req)) = self.in_q.front() {
             if ready_at > now {
                 break;
@@ -145,10 +160,11 @@ impl ThreadPort {
             } else if self.sgb.len() < self.capacity {
                 self.stats.stores_in.inc();
                 self.last_store_activity = now;
-                self.sgb.push_back(SgbEntry { line: req.line, token: req.token, flush: false });
+                self.sgb.push_back(SgbEntry { line: req.line, token: req.token });
                 self.in_q.pop_front();
             } else {
                 // SGB full: head-of-line stall until a store retires.
+                self.head_stalled = true;
                 break;
             }
         }
@@ -158,27 +174,41 @@ impl ThreadPort {
     /// (occupancy at/above the high-water mark, or a partial flush is in
     /// progress).
     pub fn row_inverted(&self) -> bool {
-        self.sgb.len() >= self.retire_at || self.sgb.iter().any(|e| e.flush)
+        self.sgb.len() >= self.retire_at || self.flushing > 0
+    }
+
+    /// The read-over-write dependence check of [`ThreadPort::peek_candidate`]
+    /// on its own. The bank controller calls it for a thread that holds all
+    /// its state machines: that thread cannot take a candidate, but its
+    /// partial flush must still be marked at this visit.
+    pub(crate) fn mark_partial_flush(&mut self) {
+        if self.row_inverted() {
+            return;
+        }
+        if let Some(load) = self.loads.front() {
+            if let Some(pos) = self.sgb.iter().position(|e| e.line == load.line) {
+                self.flushing = pos + 1;
+                self.stats.partial_flushes.inc();
+            }
+        }
     }
 
     /// The request this port would present to the bank controller at `now`,
     /// without removing it.
+    ///
+    /// Runs the read-over-write dependence check first: while loads still
+    /// bypass, a load to a gathered store's line marks a partial flush of
+    /// that entry and all older entries, counted in
+    /// [`SgbStats::partial_flushes`]. The flush is marked at the
+    /// controller's first visit to the port after the conflict appears,
+    /// whether or not the thread then has a free state machine.
     pub fn peek_candidate(&mut self, now: Cycle) -> Option<PortCandidate> {
+        self.mark_partial_flush();
         // Partial-flush and high-water store retirement take priority.
         if self.row_inverted() {
             return self.oldest_store();
         }
         if let Some(&load) = self.loads.front() {
-            // Read-over-write dependence check: a load to a gathered
-            // store's line forces a partial flush of that entry and all
-            // older entries.
-            if let Some(pos) = self.sgb.iter().position(|e| e.line == load.line) {
-                for e in self.sgb.iter_mut().take(pos + 1) {
-                    e.flush = true;
-                }
-                self.stats.partial_flushes.inc();
-                return self.oldest_store();
-            }
             return Some(PortCandidate { request: load, is_store_retire: false });
         }
         // No loads pending: drain quiescent stores if configured.
@@ -214,6 +244,8 @@ impl ThreadPort {
             assert_eq!(e.line, candidate.request.line, "retired store mismatch");
             self.stats.writes_out.inc();
             self.last_store_activity = now;
+            self.flushing = self.flushing.saturating_sub(1);
+            self.head_stalled = false;
             trace::emit(|| TraceEvent {
                 at: now,
                 data: EventData::SgbDrain {
@@ -375,10 +407,15 @@ mod tests {
         assert_eq!(p.sgb_occupancy(), 8);
         assert_eq!(p.input_occupancy(), 2, "store 100 and load 200 wait in order");
         assert_eq!(p.stats().stores_in.get(), 8, "stalled store not counted yet");
-        // Drain one store; the stalled store and load then flow in.
-        let c = p.peek_candidate(0).unwrap();
-        p.take_candidate(&c, 0);
-        p.pump(0);
+        for now in 1..5 {
+            p.pump(now);
+        }
+        assert_eq!(p.input_occupancy(), 2, "still stalled while no store retires");
+        // Drain one store; the first pump after it lets the stalled store
+        // and the load in.
+        let c = p.peek_candidate(5).unwrap();
+        p.take_candidate(&c, 5);
+        p.pump(5);
         assert_eq!(p.sgb_occupancy(), 8);
         assert_eq!(p.input_occupancy(), 0);
     }

@@ -545,6 +545,54 @@ mod microarch_tests {
         assert_eq!(sm_limit, 8);
     }
 
+    /// Intake checks a port for a load-store conflict even while its thread
+    /// holds every state machine: here the conflicting store retires by
+    /// the high-water mark before a state machine frees, and the partial
+    /// flush still counts once.
+    #[test]
+    fn partial_flush_is_marked_while_state_machines_are_busy() {
+        let mut cfg = L2Config::table1(1, ArbiterPolicy::Fcfs);
+        cfg.total_sets = 64;
+        cfg.banks = 1;
+        cfg.sm_per_thread = 1;
+        cfg.sgb_entries = 4;
+        cfg.sgb_retire_at = 2;
+        cfg.sgb_idle_drain = None;
+        let mut l2 = SharedL2::new(cfg, MemConfig::ddr2_800());
+        let req = |line, kind, token| CacheRequest {
+            thread: ThreadId(0),
+            line: LineAddr(line),
+            kind,
+            token,
+        };
+        // A missing load holds the only state machine until memory answers.
+        let arrivals = [
+            (0, req(1, AccessKind::Read, 1)),
+            (10, req(2, AccessKind::Write, 2)),
+            (10, req(2, AccessKind::Read, 3)),
+            // Reaches the high-water mark while the state machine is busy.
+            (20, req(3, AccessKind::Write, 4)),
+        ];
+        let mut loads_back = 0;
+        for now in 0..2_000 {
+            for &(_, r) in arrivals.iter().filter(|&&(at, _)| at == now) {
+                l2.submit(r, now);
+            }
+            if now == 30 {
+                assert_eq!(l2.stats().read_misses.get(), 1, "the miss still holds the SM");
+                assert_eq!(l2.port_stats(ThreadId(0)).writes_out.get(), 0);
+            }
+            l2.tick(now);
+            while l2.pop_response(now).is_some() {
+                loads_back += 1;
+            }
+        }
+        assert_eq!(loads_back, 2);
+        let port = l2.port_stats(ThreadId(0));
+        assert_eq!(port.writes_out.get(), 1, "store 3 stays parked below the high-water mark");
+        assert_eq!(port.partial_flushes.get(), 1);
+    }
+
     /// Retire-at-n in action at the system level: six stores to distinct
     /// lines (reaching the high-water mark) start retiring immediately,
     /// while five stay parked until the idle drain.

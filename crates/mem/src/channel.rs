@@ -88,9 +88,11 @@ impl DramChannel {
         data_done
     }
 
-    /// Removes and returns the tokens of all *read* transactions whose data
-    /// completed by `now`. Completed writes are retired silently.
-    pub fn drain_completed(&mut self, now: Cycle, out: &mut Vec<u64>) {
+    /// Removes all transactions whose data completed by `now`, appends the
+    /// tokens of the *reads* among them to `out` (completed writes retire
+    /// silently), and returns how many were removed.
+    pub fn drain_completed(&mut self, now: Cycle, out: &mut Vec<u64>) -> usize {
+        let before = self.in_flight.len();
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].data_done <= now {
@@ -102,6 +104,7 @@ impl DramChannel {
                 i += 1;
             }
         }
+        before - self.in_flight.len()
     }
 
     /// Number of transactions still in flight.

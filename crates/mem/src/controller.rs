@@ -87,6 +87,11 @@ pub struct MemoryController {
     fq: Option<FqClock>,
     /// Arrival sequence numbers for shared-channel FCFS ordering.
     next_seq: u64,
+    /// Requests buffered or in flight on a channel: raised by
+    /// [`MemoryController::enqueue`], lowered when a channel retires a
+    /// transaction. While it is zero, [`MemoryController::tick`] has
+    /// nothing to schedule or collect and returns at once.
+    outstanding: usize,
 }
 
 impl MemoryController {
@@ -127,6 +132,7 @@ impl MemoryController {
             pending_reads: Vec::new(),
             fq,
             next_seq: 0,
+            outstanding: 0,
             config,
             mode,
         }
@@ -157,19 +163,23 @@ impl MemoryController {
             AccessKind::Read => q.reads.push_back((seq, req)),
             AccessKind::Write => q.writes.push_back((seq, req)),
         }
+        self.outstanding += 1;
         true
     }
 
     /// Advances the controller one processor cycle: schedules eligible
     /// transactions onto each channel and collects completed reads.
     pub fn tick(&mut self, now: Cycle) {
+        if self.outstanding == 0 {
+            return;
+        }
         match self.mode {
             ChannelMode::PerThread => self.tick_private(now),
             ChannelMode::SharedFcfs | ChannelMode::SharedFq { .. } => self.tick_shared(now),
         }
         for c in 0..self.channels.len() {
             self.scratch.clear();
-            self.channels[c].drain_completed(now, &mut self.scratch);
+            self.outstanding -= self.channels[c].drain_completed(now, &mut self.scratch);
             for &token in &self.scratch {
                 let idx = self
                     .pending_reads
@@ -366,10 +376,7 @@ impl MemoryController {
 
     /// Whether any work (buffered, in flight, or unreturned) remains.
     pub fn is_idle(&self) -> bool {
-        self.responses.is_empty()
-            && self.pending_reads.is_empty()
-            && self.queues.iter().all(|q| q.reads.is_empty() && q.writes.is_empty())
-            && self.channels.iter().all(|c| c.in_flight_len() == 0)
+        self.responses.is_empty() && self.outstanding == 0
     }
 
     /// Per-thread channel statistics (reads, writes, mean read latency).
@@ -571,6 +578,21 @@ mod tests {
             !plain.reconfigure_share(ThreadId(0), Share::FULL),
             "private channels have no shares"
         );
+    }
+
+    #[test]
+    fn request_after_long_idle_is_issued_and_returned() {
+        let mut mc = MemoryController::new(MemConfig::ddr2_800(), 2);
+        let mut out = Vec::new();
+        run(&mut mc, 0, 10_000, &mut out);
+        assert!(mc.enqueue(read(1, 3, 42), 10_000));
+        assert!(mc.enqueue(write(1, 4, 0), 10_000));
+        run(&mut mc, 10_000, 10_400, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].token, 42);
+        assert_eq!(mc.channel_stats(ThreadId(1)).1, 1, "the write retired too");
+        assert_eq!(mc.outstanding, 0);
+        assert!(mc.is_idle());
     }
 
     #[test]

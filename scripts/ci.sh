@@ -15,6 +15,12 @@ cargo build --release --workspace --bins
 echo "== test (workspace, including formerly-slow ignored tests) =="
 cargo test -q --workspace -- --include-ignored
 
+echo "== perfbench self-tests (every recorded input's statistics, short length) =="
+# The benchmark is its own package; its gate replays every input recorded
+# in perfbench/expected.txt, so a speed-only change that moves any
+# simulated statistic fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== rustdoc (warnings are errors, binaries included) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --bins
 
