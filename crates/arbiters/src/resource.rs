@@ -150,24 +150,6 @@ impl ArbitratedResource {
     pub fn reconfigure_share(&mut self, thread: ThreadId, share: Share) -> bool {
         self.arbiter.reconfigure_share(thread, share)
     }
-
-    /// The earliest cycle at which this resource can change observable
-    /// state absent new enqueues: with requests pending, the next
-    /// [`ArbitratedResource::try_grant`] that is not blocked by the busy
-    /// window will grant one. `None` when nothing is pending — an idle
-    /// resource never acts spontaneously (`busy_until` elapsing is not
-    /// itself an observable change; it only enables a future grant).
-    ///
-    /// Conservative by design: the returned cycle is never *later* than a
-    /// real state change, which is the direction the quiescence protocol
-    /// requires (see `DESIGN.md` §10).
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if self.queued == 0 {
-            None
-        } else {
-            Some(self.busy_until.max(now + 1))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! so the software model must also be cheap), capacity-manager victim
 //! selection, the DRAM channel, and the whole-system cycle rate.
 //!
-//! Run with `--json` for a machine-readable `BENCH_*.json` baseline, and
-//! `--quick` for a fast smoke pass.
+//! Run with `--json` for machine-readable output, and `--quick` for a
+//! fast smoke pass.
 
 use std::hint::black_box;
 
@@ -105,40 +105,11 @@ fn bench_system_cycle_rate(suite: &mut Suite) {
     );
 }
 
-fn bench_quiescence_skipping(suite: &mut Suite) {
-    // The cycle-skipping headline, measured both ways on the most
-    // DRAM-bound configuration we model: a single cache-hostile thread
-    // (mcf's profile) on a tiny 64-set L2, so nearly every access misses
-    // and the system spends long stretches waiting on DRAM. `skip` and
-    // `no_skip` produce byte-identical state (see the `skip_equivalence`
-    // property tests); the ratio of the two medians is the honest speedup.
-    for (name, skip) in [("dram_bound_mcf/skip", true), ("dram_bound_mcf/no_skip", false)] {
-        suite.bench_batched(
-            name,
-            20,
-            move || {
-                let mut cfg = CmpConfig::table1();
-                cfg.processors = 1;
-                cfg.l2.total_sets = 64;
-                let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Spec("mcf")]);
-                sys.set_cycle_skipping(skip);
-                sys
-            },
-            |mut sys| {
-                sys.run(50_000);
-                black_box(sys.now());
-            },
-        );
-    }
-}
-
 fn main() {
-    vpc_bench::skip_from_args();
     let mut suite = Suite::from_args("components");
     bench_arbiters(&mut suite);
     bench_capacity(&mut suite);
     bench_dram_channel(&mut suite);
     bench_system_cycle_rate(&mut suite);
-    bench_quiescence_skipping(&mut suite);
     suite.finish();
 }

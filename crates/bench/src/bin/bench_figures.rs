@@ -4,16 +4,15 @@
 //! harness's performance over time. The full-length runs (paper-scale
 //! windows, all benchmarks/mixes) live in the other `vpc-bench` binaries.
 //!
-//! Run with `--json` for a machine-readable `BENCH_*.json` baseline, and
-//! `--quick` for a fast smoke pass. The scenario list itself lives in
-//! [`vpc_bench::scenarios`], shared with `perf_smoke`.
+//! Run with `--json` for machine-readable output, and `--quick` for a
+//! fast smoke pass. The scenario list itself lives in
+//! [`vpc_bench::scenarios`].
 
 use std::time::Instant;
 
 use vpc_bench::harness::Suite;
 
 fn main() {
-    vpc_bench::skip_from_args();
     let mut suite = Suite::from_args("figures");
     let jobs = vpc_bench::jobs_from_args();
     let start = Instant::now();

@@ -4,7 +4,10 @@ use vpc::experiments::fig4;
 use vpc::prelude::*;
 
 fn main() {
-    vpc_bench::skip_from_args();
+    vpc_bench::reject_unknown_flags(&["--quick", "--jobs"]);
+    // `--quick` and `--jobs` are accepted for CLI uniformity with the
+    // other binaries; the timing probe is one short fixed simulation.
+    let _ = vpc_bench::jobs_from_args();
     let base = CmpConfig::table1();
     println!("{}", fig4::run(&base));
 }

@@ -14,6 +14,7 @@ use vpc::report::{to_json, Fig5Report};
 use vpc_sim::trace;
 
 fn main() {
+    vpc_bench::reject_unknown_flags(&["--quick", "--json", "--jobs", "--trace", "--metrics"]);
     let budget = vpc_bench::budget_from_args();
     let jobs = vpc_bench::jobs_from_args();
     let trace_path = vpc_bench::trace_from_args();

@@ -7,6 +7,7 @@ use vpc::prelude::*;
 use vpc::report::{to_json, Fig8Report};
 
 fn main() {
+    vpc_bench::reject_unknown_flags(&["--quick", "--json", "--jobs", "--trace"]);
     let budget = vpc_bench::budget_from_args();
     let jobs = vpc_bench::jobs_from_args();
     let trace_path = vpc_bench::trace_from_args();

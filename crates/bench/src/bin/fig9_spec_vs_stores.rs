@@ -8,6 +8,7 @@ use vpc::report::{to_json, Fig9Report};
 use vpc_workloads::SPEC_NAMES;
 
 fn main() {
+    vpc_bench::reject_unknown_flags(&["--quick", "--json", "--jobs", "--trace"]);
     let budget = vpc_bench::budget_from_args();
     let jobs = vpc_bench::jobs_from_args();
     let trace_path = vpc_bench::trace_from_args();

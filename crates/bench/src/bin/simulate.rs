@@ -161,7 +161,6 @@ fn build_arbiter(args: &Args) -> Result<ArbiterPolicy, String> {
 }
 
 fn run() -> Result<(), String> {
-    vpc_bench::skip_from_args();
     let args = parse_args(std::env::args().skip(1))?;
     // Installed process-wide so any pooled work (and future parallel
     // paths) honors the flag; the single CmpSystem run itself is serial.

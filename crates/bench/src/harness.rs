@@ -3,7 +3,7 @@
 //! Replaces the external Criterion dependency for this workspace's needs:
 //! fixed iteration counts, an explicit warmup, and a median + p10/p90
 //! summary per operation, printed as a table or as machine-readable JSON
-//! (`--json`) suitable for a checked-in `BENCH_*.json` baseline.
+//! (`--json`).
 //!
 //! Two measurement shapes cover every scenario the old Criterion benches
 //! had:

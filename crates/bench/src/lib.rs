@@ -19,11 +19,8 @@ use vpc_sim::{exec, trace};
 pub mod harness;
 pub mod scenarios;
 
-/// Parses the standard CLI: `--quick` selects short windows. Also
-/// installs the `--no-skip` cycle-skipping override (see
-/// [`skip_from_args`]) so every experiment binary honors it.
+/// Parses the standard CLI: `--quick` selects short windows.
 pub fn budget_from_args() -> RunBudget {
-    skip_from_args();
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("VPC_QUICK").is_ok_and(|v| v == "1");
     if quick {
@@ -33,19 +30,39 @@ pub fn budget_from_args() -> RunBudget {
     }
 }
 
-/// Parses `--no-skip` (or `VPC_NO_SKIP=1`): disables quiescence-aware
-/// cycle skipping for every system built afterwards, forcing the naive
-/// tick-every-cycle loop. Output is byte-identical either way (that is
-/// the protocol's contract, and `tests/skip_equivalence.rs` enforces
-/// it); the flag exists as a cross-check and for debugging the skipping
-/// machinery itself. Returns `true` when skipping stays enabled.
-pub fn skip_from_args() -> bool {
-    let no_skip = std::env::args().any(|a| a == "--no-skip")
-        || std::env::var("VPC_NO_SKIP").is_ok_and(|v| v == "1");
-    if no_skip {
-        vpc::set_cycle_skipping_default(false);
+/// Flags that take a value, as `--flag VALUE` or `--flag=VALUE`.
+const VALUE_FLAGS: [&str; 2] = ["--jobs", "--trace"];
+
+/// The first argument in `args` (program name excluded) that is neither
+/// one of the `known` flags nor the value after a known `--jobs` or
+/// `--trace`. Missing or malformed values are left to the flag's own
+/// parser ([`jobs_from_args`], [`trace_from_args`]).
+pub fn unknown_flag(args: &[String], known: &[&str]) -> Option<String> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let (name, inline_value) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        if !known.contains(&name) || (inline_value && !VALUE_FLAGS.contains(&name)) {
+            return Some(arg.clone());
+        }
+        if !inline_value && VALUE_FLAGS.contains(&name) {
+            iter.next();
+        }
     }
-    !no_skip
+    None
+}
+
+/// Exits with status 2 and an error naming the offending argument when
+/// the command line holds anything but the binary's `known` flags, so a
+/// typo such as `--quik` cannot silently run at full length.
+pub fn reject_unknown_flags(known: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = unknown_flag(&args, known) {
+        eprintln!("error: unknown flag {flag:?} (this binary takes {})", known.join(", "));
+        std::process::exit(2);
+    }
 }
 
 /// Parses `--jobs N` / `--jobs=N`, installs it as the process-wide worker
@@ -203,5 +220,27 @@ mod tests {
         std::env::set_var("VPC_QUICK", "1");
         assert_eq!(budget_from_args(), RunBudget::quick());
         std::env::remove_var("VPC_QUICK");
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let known = ["--quick", "--json", "--jobs", "--trace"];
+        let ok = args(&["--quick", "--jobs", "4", "--trace=out.json", "--json", "--trace", "t"]);
+        assert_eq!(unknown_flag(&ok, &known), None);
+        assert_eq!(unknown_flag(&args(&[]), &known), None);
+        assert_eq!(unknown_flag(&args(&["--quik"]), &known).as_deref(), Some("--quik"));
+        assert_eq!(
+            unknown_flag(&args(&["--quick", "--metrics"]), &known).as_deref(),
+            Some("--metrics")
+        );
+        assert_eq!(unknown_flag(&args(&["--json=1"]), &known).as_deref(), Some("--json=1"));
+        assert_eq!(unknown_flag(&args(&["stray"]), &known).as_deref(), Some("stray"));
+        // The value after a value-taking flag is consumed, not checked.
+        assert_eq!(unknown_flag(&args(&["--jobs", "--bogus"]), &known), None);
+        assert_eq!(
+            unknown_flag(&args(&["--jobs", "2", "--bogus"]), &known).as_deref(),
+            Some("--bogus")
+        );
     }
 }

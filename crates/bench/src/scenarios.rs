@@ -1,8 +1,5 @@
-//! The canonical figure-benchmark scenario list, shared by
-//! `bench_figures` (which records the `BENCH_*.json` baselines) and
-//! `perf_smoke` (which re-runs the same scenarios in quick mode and
-//! compares against a recorded baseline). Keeping one definition ensures
-//! the two binaries always measure the same thing under the same names.
+//! The figure-benchmark scenario list that `bench_figures` runs: one
+//! reduced-budget scenario per table or figure of the paper.
 
 use std::hint::black_box;
 

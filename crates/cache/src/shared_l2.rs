@@ -86,39 +86,6 @@ impl SharedL2 {
         }
     }
 
-    /// The earliest cycle at which the cache or memory system can change
-    /// observable state absent new [`SharedL2::submit`] calls. `None` when
-    /// everything is drained and parked.
-    ///
-    /// Conservative by design: never *later* than a real state change (see
-    /// `DESIGN.md` §10) — an early wake-up is a harmless no-op tick.
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let horizon = now + 1;
-        let mut best: Option<Cycle> = None;
-        let mut consider = |c: Cycle| best = Some(best.map_or(c, |b: Cycle| b.min(c)));
-        for bank in &self.banks {
-            if let Some(c) = bank.next_activity(now) {
-                if c == horizon {
-                    return Some(horizon); // nothing can beat the next cycle
-                }
-                consider(c);
-            }
-            // A memory request waiting to forward moves on the next cycle
-            // once the controller has room (forwarding is polled every
-            // core cycle). While the controller is full, room only appears
-            // through an issue, which the controller's own terms cover.
-            if let Some(req) = bank.peek_mem_request() {
-                if self.mem.can_accept(req.thread, req.kind) {
-                    return Some(horizon);
-                }
-            }
-        }
-        if let Some(c) = self.mem.next_activity(now) {
-            consider(c);
-        }
-        best
-    }
-
     /// Pops the next read response whose critical word has arrived.
     pub fn pop_response(&mut self, now: Cycle) -> Option<CacheResponse> {
         for bank in &mut self.banks {

@@ -193,120 +193,11 @@ impl Core {
         self.rob.get_mut((id - head) as usize)
     }
 
-    /// Read-only counterpart of [`Core::entry_mut`].
-    fn entry(&self, id: u64) -> Option<&RobEntry> {
-        let head = self.rob.front()?.id;
-        if id < head {
-            return None;
-        }
-        self.rob.get((id - head) as usize)
-    }
-
     /// Advances the core one cycle: retire, issue loads, dispatch.
     pub fn tick(&mut self, now: Cycle, l2: &mut SharedL2) {
         self.retire(now, l2);
         self.issue_loads(now, l2);
         self.dispatch(now);
-    }
-
-    /// Whether the next dispatch attempt is structurally blocked (ROB full,
-    /// or the skid-buffered op cannot take an LRQ/SRQ slot) — exactly the
-    /// conditions under which [`Core::dispatch`] counts a stall cycle.
-    fn dispatch_blocked(&self) -> bool {
-        self.rob.len() >= self.cfg.rob_entries
-            || match &self.pending_op {
-                Some(Op::Load(_)) => self.lrq_count >= self.cfg.lrq_entries,
-                Some(Op::Store(_)) => self.srq_count >= self.cfg.srq_entries,
-                _ => false,
-            }
-    }
-
-    /// The earliest cycle at which a [`Core::tick`] can change observable
-    /// state (including stall counters' *regime boundaries*), given that no
-    /// L2 response arrives before then. `None` when every pipeline stage is
-    /// blocked on input only the memory system can deliver — the cache's
-    /// own [`SharedL2::next_activity`] covers those wake-ups.
-    ///
-    /// Conservative by design: never *later* than a real change (see
-    /// `DESIGN.md` §10); an early wake-up is a harmless no-op tick.
-    pub fn next_activity(&self, now: Cycle, l2: &SharedL2) -> Option<Cycle> {
-        let horizon = now + 1;
-        // Fast path for the overwhelmingly common case — an unblocked
-        // frontend dispatches next tick, so no cheaper wake-up exists and
-        // the checks below cannot improve on it. This keeps the skip
-        // protocol's per-cycle cost near zero while a core is running.
-        if self.frontend_stall_until <= horizon && !self.dispatch_blocked() {
-            return Some(horizon);
-        }
-        let mut best: Option<Cycle> = None;
-        let mut consider = |c: Cycle| best = Some(best.map_or(c, |b: Cycle| b.min(c)));
-        // Retirement: a finite completion time bounds the skip; a store at
-        // the head with an open port retires once the send interval allows.
-        if let Some(head) = self.rob.front() {
-            match head.kind {
-                RobKind::NonMem | RobKind::Load { .. } => {
-                    if head.done_at != u64::MAX {
-                        consider(head.done_at.max(horizon));
-                    }
-                }
-                RobKind::Store { line } => {
-                    if head.done_at > now {
-                        consider(head.done_at.max(horizon));
-                    } else if l2.can_accept(self.thread, line) {
-                        consider(self.next_store_at.max(horizon));
-                    }
-                    // else: port-blocked; unblocking is bank activity.
-                }
-            }
-        }
-        // Load issue: an issuable head load acts next tick. A blocked one
-        // waits on an L1 fill or port credit, which the cache reports.
-        if let Some(&id) = self.unissued_loads.front() {
-            match self.entry(id) {
-                None => consider(horizon), // stale id: next tick pops it
-                Some(entry) => {
-                    let RobKind::Load { line, .. } = entry.kind else {
-                        unreachable!("unissued-load queue holds loads only")
-                    };
-                    if self.l1.probe(line)
-                        || self.l1.has_mshr(line)
-                        || (self.l1.can_allocate_miss() && l2.can_accept(self.thread, line))
-                    {
-                        consider(horizon);
-                    }
-                }
-            }
-        }
-        // Dispatch: an unblocked frontend consumes workload ops as soon as
-        // any bubble expires. (A structurally blocked frontend only counts
-        // stall cycles, which fast_forward advances arithmetically.)
-        if !self.dispatch_blocked() {
-            consider(self.frontend_stall_until.max(horizon));
-        }
-        best
-    }
-
-    /// Advances the stall counters over the skipped ticks
-    /// `now + 1 ..= target - 1`, exactly as if [`Core::tick`] had run on
-    /// each of them. Sound because `target` never exceeds
-    /// [`Core::next_activity`]: within the region every blocking predicate
-    /// is constant, so each skipped tick increments the same counters a
-    /// naive tick would (see `DESIGN.md` §10).
-    pub fn fast_forward(&mut self, now: Cycle, target: Cycle) {
-        let skipped = target - now - 1;
-        if skipped == 0 {
-            return;
-        }
-        if let Some(head) = self.rob.front() {
-            // A completed store still at the head is being held back by the
-            // port or the send interval on every skipped tick.
-            if matches!(head.kind, RobKind::Store { .. }) && head.done_at <= now {
-                self.stats.store_stall_cycles.add(skipped);
-            }
-        }
-        if self.frontend_stall_until <= now + 1 && self.dispatch_blocked() {
-            self.stats.dispatch_stall_cycles.add(skipped);
-        }
     }
 
     fn dispatch(&mut self, now: Cycle) {
@@ -589,6 +480,41 @@ mod tests {
         // 2 banks x 1 write / 16 cycles = 0.125 stores/cycle once warm.
         assert!(ipc <= 0.25, "store stream bounded by write bandwidth, got {ipc}");
         assert!(core.stats().store_stall_cycles.get() > 0, "stores must backpressure");
+    }
+
+    #[test]
+    fn stalled_core_counts_one_stall_cycle_per_tick() {
+        // The L2 is never ticked, so the store port fills and retirement
+        // stalls on the head store for good. Dispatch then stalls on a full
+        // SRQ (stores only) or a full ROB (one store per five ops).
+        let stores: Vec<Op> = (0..512).map(|i| Op::Store(LineAddr(i))).collect();
+        let mixed =
+            stores.iter().flat_map(|&st| [st, Op::NonMem, Op::NonMem, Op::NonMem, Op::NonMem]);
+        for (name, ops) in [("srq", stores.clone()), ("rob", mixed.collect())] {
+            let mut core =
+                Core::new(CoreConfig::table1(), ThreadId(0), Box::new(FixedTrace::new(name, ops)));
+            let mut l2 = small_l2(1);
+            for now in 0..1_000 {
+                core.tick(now, &mut l2);
+            }
+            let retired = core.retired();
+            for now in 1_000..1_100 {
+                let before = core.stats();
+                core.tick(now, &mut l2);
+                let after = core.stats();
+                assert_eq!(
+                    after.store_stall_cycles.get(),
+                    before.store_stall_cycles.get() + 1,
+                    "{name}"
+                );
+                assert_eq!(
+                    after.dispatch_stall_cycles.get(),
+                    before.dispatch_stall_cycles.get() + 1,
+                    "{name}"
+                );
+            }
+            assert_eq!(core.retired(), retired, "{name}: a stalled core retires nothing");
+        }
     }
 
     #[test]

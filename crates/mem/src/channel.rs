@@ -119,18 +119,6 @@ impl DramChannel {
         self.bus_free
     }
 
-    /// Earliest `data_done` among in-flight transactions (reads *and*
-    /// writes — a completed write still changes channel state when it is
-    /// drained). `None` when nothing is in flight.
-    pub fn next_completion(&self) -> Option<Cycle> {
-        self.in_flight.iter().map(|f| f.data_done).min()
-    }
-
-    /// The cycle `line`'s bank is next ready for an activation.
-    pub fn bank_ready_at(&self, line: LineAddr) -> Cycle {
-        self.bank_ready[self.bank_of(line)]
-    }
-
     /// Reads serviced.
     pub fn reads(&self) -> u64 {
         self.reads

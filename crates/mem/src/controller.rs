@@ -190,9 +190,6 @@ impl MemoryController {
                 self.responses.push_back(MemResponse { thread, line, token });
             }
         }
-        // Leave all scratch buffers empty so controller state (and its
-        // `Debug` rendering) never depends on how often we were ticked.
-        self.scratch.clear();
     }
 
     /// The request thread `t` would send next, under read priority with
@@ -311,50 +308,6 @@ impl MemoryController {
         }
         candidates.clear();
         self.cand_scratch = candidates;
-    }
-
-    /// The earliest cycle at which this controller can change observable
-    /// state absent new [`MemoryController::enqueue`] calls: a queued
-    /// response waiting to pop, an in-flight transaction completing, or a
-    /// buffered request becoming schedulable. `None` when fully idle.
-    ///
-    /// Conservative by design: the returned cycle is never *later* than a
-    /// real state change (see `DESIGN.md` §10) — an early wake-up is a
-    /// harmless no-op tick.
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let horizon = now + 1;
-        if !self.responses.is_empty() {
-            return Some(horizon);
-        }
-        let mut best: Option<Cycle> = None;
-        let mut consider = |c: Cycle| best = Some(best.map_or(c, |b: Cycle| b.min(c)));
-        for ch in &self.channels {
-            if let Some(done) = ch.next_completion() {
-                consider(done.max(horizon));
-            }
-        }
-        match self.mode {
-            ChannelMode::PerThread => {
-                for t in 0..self.channels.len() {
-                    if let Some((_, req)) = self.thread_candidate(t) {
-                        consider(self.channels[t].bank_ready_at(req.line).max(horizon));
-                    }
-                }
-            }
-            ChannelMode::SharedFcfs | ChannelMode::SharedFq { .. } => {
-                // Admission control re-opens once `now` catches up to the
-                // bus reservation horizon; a candidate then issues when its
-                // bank is also ready.
-                let t = self.config.timing;
-                let gate = self.channels[0].bus_free_at().saturating_sub(t.t_rcd + t.t_cl);
-                for thr in 0..self.queues.len() {
-                    if let Some((_, req)) = self.thread_candidate(thr) {
-                        consider(self.channels[0].bank_ready_at(req.line).max(gate).max(horizon));
-                    }
-                }
-            }
-        }
-        best
     }
 
     /// Reconfigures `thread`'s share of a shared fair-queued channel.
