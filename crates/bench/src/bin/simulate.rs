@@ -95,6 +95,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--cycles" => {
                 args.cycles = value("--cycles")?.parse().map_err(|e| format!("--cycles: {e}"))?;
+                if args.cycles == 0 {
+                    return Err("--cycles 0: the measured window needs at least one cycle".into());
+                }
             }
             "--channels" => args.channels = value("--channels")?,
             "--lru-capacity" => args.lru_capacity = true,
@@ -293,6 +296,13 @@ mod tests {
             assert!(err.contains("8192 sets"), "{err}");
         }
         assert_eq!(parse(&["--banks", "4"]).expect("4 divides 8192").banks, 4);
+    }
+
+    #[test]
+    fn empty_measured_window_is_rejected() {
+        let err = parse(&["--cycles", "0"]).expect_err("a zero-cycle window has no IPC");
+        assert!(err.contains("--cycles 0"), "{err}");
+        assert_eq!(parse(&["--cycles", "1"]).expect("one cycle is a window").cycles, 1);
     }
 
     #[test]

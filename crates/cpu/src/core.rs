@@ -97,9 +97,16 @@ pub struct Core {
     workload: Box<dyn Workload>,
     l1: L1Cache,
     rob: VecDeque<RobEntry>,
-    /// One-op skid buffer for an op consumed from the workload but stalled
-    /// by a structural hazard.
+    /// One-op skid buffer: holds the op consumed from the workload until it
+    /// dispatches, so an op stalled by a structural hazard stays in place.
     pending_op: Option<Op>,
+    /// Cached miss verdict for the oldest unissued load: its line, which is
+    /// neither L1-resident nor covered by an MSHR, while the load waits for
+    /// LMQ space or port credit. Set by `try_issue_load`; cleared by every
+    /// issue. Only the head's own primary miss (and the prefetches behind
+    /// it) can give the line an MSHR, and a fill installs only a line that
+    /// had one, so no fill can make the verdict stale.
+    blocked_miss: Option<LineAddr>,
     /// Dispatch is stalled until this cycle (frontend bubbles).
     frontend_stall_until: Cycle,
     /// Unissued loads' ids, oldest first (loads issue in LRQ order).
@@ -119,6 +126,7 @@ impl Core {
             l1: L1Cache::new(cfg.l1, thread),
             rob: VecDeque::with_capacity(cfg.rob_entries),
             pending_op: None,
+            blocked_miss: None,
             frontend_stall_until: 0,
             unissued_loads: VecDeque::new(),
             lrq_count: 0,
@@ -211,20 +219,25 @@ impl Core {
                 return;
             }
             // Structural hazards stall dispatch in order; an op consumed
-            // from the workload but blocked waits in the skid buffer.
-            let op = match self.pending_op.take() {
+            // from the workload waits in the skid buffer until it
+            // dispatches, so a stalled cycle leaves the buffer untouched.
+            let op = match self.pending_op {
                 Some(op) => op,
-                None => self.workload.next_op(),
+                None => {
+                    let op = self.workload.next_op();
+                    self.pending_op = Some(op);
+                    op
+                }
             };
             let kind = match op {
                 Op::Bubble(n) => {
+                    self.pending_op = None;
                     self.frontend_stall_until = now + u64::from(n);
                     return;
                 }
                 Op::NonMem => RobKind::NonMem,
                 Op::Load(line) => {
                     if self.lrq_count >= self.cfg.lrq_entries {
-                        self.pending_op = Some(op);
                         self.stats.dispatch_stall_cycles.inc();
                         return;
                     }
@@ -234,7 +247,6 @@ impl Core {
                 }
                 Op::Store(line) => {
                     if self.srq_count >= self.cfg.srq_entries {
-                        self.pending_op = Some(op);
                         self.stats.dispatch_stall_cycles.inc();
                         return;
                     }
@@ -242,6 +254,7 @@ impl Core {
                     RobKind::Store { line }
                 }
             };
+            self.pending_op = None;
             let done_at = match kind {
                 RobKind::NonMem => now + 1,
                 // Stores are architecturally complete at dispatch (weak
@@ -268,6 +281,7 @@ impl Core {
             };
             match self.try_issue_load(line, id, now, l2) {
                 Some(done_at) => {
+                    self.blocked_miss = None;
                     let e = self.entry_mut(id).expect("entry just seen");
                     e.kind = RobKind::Load { line, issued: true };
                     e.done_at = done_at;
@@ -291,20 +305,27 @@ impl Core {
         now: Cycle,
         l2: &mut SharedL2,
     ) -> Option<Cycle> {
-        if self.l1.probe(line) {
-            match self.l1.access_load(line, token, now) {
-                L1LoadResult::Hit { ready_at } => return Some(ready_at),
-                other => unreachable!("probe said hit, access said {other:?}"),
+        // A cached verdict means the line was known to miss with no MSHR
+        // and no load has issued since: skip both lookups.
+        if self.blocked_miss == Some(line) {
+            debug_assert!(!self.l1.probe(line) && !self.l1.has_mshr(line), "stale miss verdict");
+        } else {
+            if self.l1.probe(line) {
+                match self.l1.access_load(line, token, now) {
+                    L1LoadResult::Hit { ready_at } => return Some(ready_at),
+                    other => unreachable!("probe said hit, access said {other:?}"),
+                }
             }
-        }
-        if self.l1.has_mshr(line) {
-            match self.l1.access_load(line, token, now) {
-                L1LoadResult::MissSecondary => return Some(u64::MAX),
-                other => unreachable!("existing MSHR, access said {other:?}"),
+            if self.l1.has_mshr(line) {
+                match self.l1.access_load(line, token, now) {
+                    L1LoadResult::MissSecondary => return Some(u64::MAX),
+                    other => unreachable!("existing MSHR, access said {other:?}"),
+                }
             }
         }
         // Primary miss: needs both an MSHR/LMQ slot and an L2 port credit.
         if !self.l1.can_allocate_miss() || !l2.can_accept(self.thread, line) {
+            self.blocked_miss = Some(line);
             return None;
         }
         match self.l1.access_load(line, token, now) {
@@ -415,10 +436,156 @@ mod tests {
     fn run(core: &mut Core, l2: &mut SharedL2, cycles: Cycle) {
         for now in 0..cycles {
             core.tick(now, l2);
-            l2.tick(now);
-            while let Some(resp) = l2.pop_response(now) {
-                assert_eq!(resp.thread, core.thread());
-                core.on_l2_response(resp.line, now);
+            tick_l2(core, l2, now);
+        }
+    }
+
+    /// Ticks the L2 and delivers its responses; returns whether any came.
+    fn tick_l2(core: &mut Core, l2: &mut SharedL2, now: Cycle) -> bool {
+        l2.tick(now);
+        let mut filled = false;
+        while let Some(resp) = l2.pop_response(now) {
+            assert_eq!(resp.thread, core.thread());
+            core.on_l2_response(resp.line, now);
+            filled = true;
+        }
+        filled
+    }
+
+    /// The line of the in-flight op with instruction id `id`.
+    fn rob_line(core: &Core, id: u64) -> LineAddr {
+        match core.rob[(id - core.rob[0].id) as usize].kind {
+            RobKind::Load { line, .. } | RobKind::Store { line } => line,
+            RobKind::NonMem => unreachable!("no line"),
+        }
+    }
+
+    /// Ticks the core once and checks that its oldest unissued load issues
+    /// exactly when an uncached decision says it can: it hits, merges into
+    /// an MSHR, or has both LMQ space and port credit for a primary miss.
+    /// A head that stays blocked must leave its miss verdict behind.
+    /// Returns `None` with no unissued load, else whether the head issued.
+    fn tick_checked(core: &mut Core, l2: &mut SharedL2, now: Cycle) -> Option<bool> {
+        let head = core.unissued_loads.front().map(|&id| (id, rob_line(core, id)));
+        let can_issue = head.is_some_and(|(_, line)| {
+            core.l1.probe(line)
+                || core.l1.has_mshr(line)
+                || (core.l1.can_allocate_miss() && l2.can_accept(core.thread, line))
+        });
+        core.tick(now, l2);
+        let (id, line) = head?;
+        let issued = core.unissued_loads.front() != Some(&id);
+        assert_eq!(issued, can_issue, "cycle {now}: head load {id} on {line:?}");
+        if !issued {
+            assert_eq!(core.blocked_miss, Some(line), "cycle {now}: verdict names the head");
+        }
+        Some(issued)
+    }
+
+    /// Same-line load pairs: each primary miss is followed by a load that
+    /// must merge into its MSHR, even when no new miss could allocate.
+    fn load_pairs(lines: u64, stride: u64) -> Box<FixedTrace> {
+        let ops = (0..2 * lines).map(|i| Op::Load(LineAddr(i / 2 * stride))).collect();
+        Box::new(FixedTrace::new("pairs", ops))
+    }
+
+    #[test]
+    fn lmq_blocked_load_issues_in_the_cycle_after_the_fill() {
+        let mut cfg = CoreConfig::table1();
+        cfg.l1.lmq_entries = 2;
+        let mut core = Core::new(cfg, ThreadId(0), load_pairs(512, 1));
+        let mut l2 = small_l2(1);
+        // Cycles in which the head load issued right after a fill freed the
+        // LMQ slot it waited for.
+        let mut woken = 0;
+        let mut lmq_blocked_at_fill = false;
+        for now in 0..20_000 {
+            if tick_checked(&mut core, &mut l2, now) == Some(true) && lmq_blocked_at_fill {
+                woken += 1;
+            }
+            let lmq_full = !core.l1.can_allocate_miss();
+            lmq_blocked_at_fill = tick_l2(&mut core, &mut l2, now) && lmq_full;
+        }
+        assert!(woken > 100, "LMQ-blocked loads woken by a fill: {woken}");
+        assert!(core.retired() > 500, "retired {}", core.retired());
+    }
+
+    #[test]
+    fn credit_blocked_load_issues_once_credit_returns() {
+        // Even lines all map to bank 0. While the L2 stands still, its
+        // 4-entry input port fills after four primary misses and the fifth
+        // line's load waits on credit alone: the 8-entry LMQ has room.
+        let mut core = Core::new(CoreConfig::table1(), ThreadId(0), load_pairs(512, 2));
+        let mut l2 = small_l2(1);
+        for now in 0..50 {
+            tick_checked(&mut core, &mut l2, now);
+        }
+        let line = rob_line(&core, core.unissued_loads[0]);
+        assert_eq!(line, LineAddr(8));
+        assert!(core.l1.can_allocate_miss() && !l2.can_accept(core.thread, line));
+        // Once the L2 runs, the head must issue in the first cycle after
+        // credit returns (`tick_checked`), and so must every later load.
+        let mut waited = None;
+        for now in 50..20_000 {
+            if tick_checked(&mut core, &mut l2, now) == Some(true) && waited.is_none() {
+                waited = Some(now - 50);
+            }
+            tick_l2(&mut core, &mut l2, now);
+        }
+        assert!(waited.is_some_and(|w| w > 0), "the head waited for credit: {waited:?}");
+        assert!(core.retired() > 1_000, "retired {}", core.retired());
+    }
+
+    #[test]
+    fn held_op_dispatches_in_the_cycle_its_queue_frees() {
+        // Without L2 ticks the SRQ (stores) or LRQ (loads) fills and
+        // dispatch stalls with the next op in the skid buffer. Then the L2
+        // runs, and retirement frees the queue every so often.
+        for (name, store) in [("srq", true), ("lrq", false)] {
+            let op = |i: u64| if store { Op::Store(LineAddr(i)) } else { Op::Load(LineAddr(i)) };
+            let trace = FixedTrace::new(name, (0..512).map(op).collect());
+            let mut core = Core::new(CoreConfig::table1(), ThreadId(0), Box::new(trace));
+            let mut l2 = small_l2(1);
+            let queue_full = |c: &Core| {
+                if store {
+                    c.srq_count == c.cfg.srq_entries
+                } else {
+                    c.lrq_count == c.cfg.lrq_entries
+                }
+            };
+            for now in 0..200 {
+                core.tick(now, &mut l2);
+            }
+            assert!(queue_full(&core) && core.pending_op.is_some(), "{name}: stalled");
+            let mut freed = 0;
+            for now in 200..20_000 {
+                let held = core.pending_op;
+                let (next_id, retired) = (core.next_id, core.retired());
+                let stalls = core.stats().dispatch_stall_cycles.get();
+                let full = queue_full(&core) && held.is_some();
+                core.tick(now, &mut l2);
+                if full {
+                    // Every retirement frees an entry of the held op's queue.
+                    let frees = core.retired() > retired;
+                    assert_eq!(core.next_id > next_id, frees, "{name} cycle {now}");
+                    if frees {
+                        assert_eq!(held, Some(op(next_id % 512)), "{name} cycle {now}");
+                        assert_eq!(rob_line(&core, next_id), LineAddr(next_id % 512));
+                        freed += 1;
+                    }
+                }
+                // A tick that ends stalled holds an op and adds exactly 1.
+                let stalled = core.pending_op.is_some();
+                assert_eq!(
+                    core.stats().dispatch_stall_cycles.get(),
+                    stalls + u64::from(stalled),
+                    "{name} cycle {now}"
+                );
+                tick_l2(&mut core, &mut l2, now);
+            }
+            assert!(freed > 100, "{name}: held ops dispatched on a free: {freed}");
+            for id in core.rob.iter().map(|e| e.id) {
+                assert_eq!(rob_line(&core, id), LineAddr(id % 512), "{name}: program order");
             }
         }
     }
@@ -515,6 +682,21 @@ mod tests {
             }
             assert_eq!(core.retired(), retired, "{name}: a stalled core retires nothing");
         }
+    }
+
+    #[test]
+    fn bubble_leaves_the_skid_buffer() {
+        // Every third op is a 2-cycle bubble: dispatch takes the two
+        // non-memory ops and the bubble in one cycle, then idles a cycle.
+        let w = FixedTrace::new("bubbly", vec![Op::Bubble(2), Op::NonMem, Op::NonMem]);
+        let mut core = Core::new(CoreConfig::table1(), ThreadId(0), Box::new(w));
+        let mut l2 = small_l2(1);
+        for now in 0..100 {
+            core.tick(now, &mut l2);
+            assert_eq!(core.next_id, now / 2 * 2, "cycle {now}");
+            assert_eq!(core.pending_op, None, "cycle {now}");
+        }
+        assert_eq!(core.stats().dispatch_stall_cycles.get(), 0, "bubbles are not stalls");
     }
 
     #[test]

@@ -293,6 +293,12 @@ pub struct SyntheticSpec {
     store_pool: u64,
     /// Next never-before-seen line for streaming (always-miss) accesses.
     cold_next: u64,
+    /// Per-op probability of a frontend bubble (realizes `base_ipc`).
+    bubble_prob: f64,
+    /// Per-hot-load probability of entering an L2 burst.
+    burst_entry_prob: f64,
+    /// `load_frac + store_frac`: the upper edge of the store band.
+    mem_frac: f64,
 }
 
 impl SyntheticSpec {
@@ -310,6 +316,9 @@ impl SyntheticSpec {
             store_line: 0,
             store_pool: (params.warm_lines / 4).max(64),
             cold_next: 0,
+            bubble_prob: bubble_prob(&params),
+            burst_entry_prob: burst_entry_prob(&params),
+            mem_frac: params.load_frac + params.store_frac,
             params,
         }
     }
@@ -334,14 +343,8 @@ impl SyntheticSpec {
             return Op::Load(LineAddr(line));
         }
         // Hot (L1-resident) load; possibly start a new burst for later
-        // loads. Markov transition keeps the stationary L2 fraction at
-        // l1_miss_rate with mean dwell burst_mean.
-        let p_enter = if p.l1_miss_rate >= 1.0 {
-            1.0
-        } else {
-            p.l1_miss_rate / ((1.0 - p.l1_miss_rate) * p.burst_mean)
-        };
-        if self.rng.chance(p_enter) {
+        // loads.
+        if self.rng.chance(self.burst_entry_prob) {
             self.burst_left = self.rng.burst_len(p.burst_mean);
         }
         let line = self.base + HOT_BASE + self.rng.below(HOT_LINES);
@@ -360,20 +363,34 @@ impl SyntheticSpec {
 /// Frontend bubble length used to realize `base_ipc`.
 const BUBBLE_LEN: u8 = 4;
 
+/// Probability that an op is a dispatch bubble, chosen so the instruction
+/// stream's frontend-only IPC matches `base_ipc` (cycles/instr = 1/width +
+/// bubbles x len).
+fn bubble_prob(p: &SpecParams) -> f64 {
+    let per_instr_stall = (1.0 / p.base_ipc - 0.2).max(0.0) / f64::from(BUBBLE_LEN);
+    per_instr_stall / (1.0 + per_instr_stall)
+}
+
+/// Probability that a hot load enters an L2 burst: the Markov transition
+/// that keeps the stationary L2 fraction at `l1_miss_rate` with mean dwell
+/// `burst_mean`.
+fn burst_entry_prob(p: &SpecParams) -> f64 {
+    if p.l1_miss_rate >= 1.0 {
+        1.0
+    } else {
+        p.l1_miss_rate / ((1.0 - p.l1_miss_rate) * p.burst_mean)
+    }
+}
+
 impl Workload for SyntheticSpec {
     fn next_op(&mut self) -> Op {
-        // Emit dispatch bubbles so the instruction stream's frontend-only
-        // IPC matches `base_ipc` (cycles/instr = 1/width + bubbles x len).
-        let p = self.params;
-        let per_instr_stall = (1.0 / p.base_ipc - 0.2).max(0.0) / f64::from(BUBBLE_LEN);
-        let q = per_instr_stall / (1.0 + per_instr_stall);
-        if self.rng.chance(q) {
+        if self.rng.chance(self.bubble_prob) {
             return Op::Bubble(BUBBLE_LEN);
         }
         let r = self.rng.unit_f64();
         if r < self.params.load_frac {
             self.gen_load()
-        } else if r < self.params.load_frac + self.params.store_frac {
+        } else if r < self.mem_frac {
             self.gen_store()
         } else {
             Op::NonMem
@@ -518,5 +535,62 @@ mod tests {
         let mcf = mean_burst("mcf");
         let art = mean_burst("art");
         assert!(art > 2.0 * mcf, "art bursts ({art}) should dwarf mcf's ({mcf})");
+    }
+
+    /// FNV-1a over the first 100,000 ops of `name` on `thread`.
+    fn stream_hash(name: &str, thread: u8) -> u64 {
+        let mut w = workload(name, ThreadId(thread)).unwrap();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for _ in 0..100_000 {
+            match w.next_op() {
+                Op::NonMem => mix(0),
+                Op::Load(line) => {
+                    mix(1);
+                    mix(line.0);
+                }
+                Op::Store(line) => {
+                    mix(2);
+                    mix(line.0);
+                }
+                Op::Bubble(n) => mix(3 + u64::from(n)),
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn op_streams_are_pinned() {
+        // Hashes of every profile's first 100,000 ops on threads 0 and 3.
+        // Any change to the generator's arithmetic moves them.
+        let pinned: [(&str, u64, u64); 18] = [
+            ("art", 0xf96e4a5522c3d2a1, 0x3180a4ca756720ee),
+            ("vpr", 0x857a9f6305d0ec61, 0x920f28ec6de8fa01),
+            ("mesa", 0xcfef4a792dc7e732, 0xafcc7c9c7b211b5e),
+            ("crafty", 0xbc37488309479a55, 0x1b1f5381ab800a19),
+            ("gap", 0x5d9ccc0c52c72674, 0xe39e90830d04a86d),
+            ("mcf", 0x365ec3459f3659c3, 0x36096d1c3694bca8),
+            ("apsi", 0x98527dafd665538f, 0x778ee9ffbe81bf62),
+            ("twolf", 0xff2a475127a85328, 0x477c60980c51b727),
+            ("gcc", 0xd4d1d6e425f01c74, 0xadce87b2295b9f53),
+            ("gzip", 0x159faebfc4956a04, 0x943326bba72d6e2d),
+            ("lucas", 0x90ca124796a99c3a, 0xad03c7c5a57b6ae8),
+            ("equake", 0x1ddfc37ee591d60f, 0xeafed754cf9cd08c),
+            ("swim", 0xfd8346753fdbecb5, 0xeea8747ac60a69c0),
+            ("wupwise", 0x9a2bb98bb8a1cb08, 0x32b0ec9382f7ab90),
+            ("ammp", 0x2d5b4caf5d320ef5, 0xa21639c95ac42b2e),
+            ("bzip2", 0x9dc57d7111161e77, 0xf62dd0c767369350),
+            ("mgrid", 0xcc1b343843bede7f, 0x5ac55db28e1d4802),
+            ("sixtrack", 0x356aefebc21ad1b9, 0x8734c1030ebf8083),
+        ];
+        assert_eq!(pinned.map(|(name, ..)| name), SPEC_NAMES);
+        for (name, t0, t3) in pinned {
+            assert_eq!(stream_hash(name, 0), t0, "{name} on thread 0");
+            assert_eq!(stream_hash(name, 3), t3, "{name} on thread 3");
+        }
     }
 }

@@ -18,9 +18,6 @@ echo "== perfbench self-tests (every recorded input's statistics, short length) 
 # simulated statistic fails here.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== test (workspace, including formerly-slow ignored tests) =="
-cargo test -q --workspace -- --include-ignored
-
 echo "== rustdoc (warnings are errors, binaries included) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --bins
 
@@ -33,5 +30,8 @@ if command -v cargo-clippy >/dev/null 2>&1; then
 else
     echo "== clippy not installed; skipping =="
 fi
+
+echo "== test (workspace, including formerly-slow ignored tests) =="
+cargo test -q --workspace -- --include-ignored
 
 echo "CI OK"
