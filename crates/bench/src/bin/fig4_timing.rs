@@ -4,10 +4,9 @@ use vpc::experiments::fig4;
 use vpc::prelude::*;
 
 fn main() {
-    vpc_bench::reject_unknown_flags(&["--quick", "--jobs"]);
+    vpc_bench::Cli::from_env(&["--quick", "--jobs"]);
     // `--quick` and `--jobs` are accepted for CLI uniformity with the
     // other binaries; the timing probe is one short fixed simulation.
-    let _ = vpc_bench::jobs_from_args();
     let base = CmpConfig::table1();
     println!("{}", fig4::run(&base));
 }

@@ -7,21 +7,15 @@ use vpc::prelude::*;
 use vpc::report::{to_json, Fig7Report};
 
 fn main() {
-    vpc_bench::reject_unknown_flags(&["--quick", "--json", "--jobs", "--trace"]);
-    let budget = vpc_bench::budget_from_args();
-    let jobs = vpc_bench::jobs_from_args();
-    let trace_path = vpc_bench::trace_from_args();
+    let mut cli = vpc_bench::Cli::from_env(&["--quick", "--json", "--jobs", "--trace"]);
     let start = Instant::now();
-    let result = fig7::run(&CmpConfig::table1(), budget);
+    let result = fig7::run(&mut cli.pool, &CmpConfig::table1(), cli.budget);
     let wall = start.elapsed();
-    if vpc_bench::json_requested() {
+    if cli.json {
         println!("{}", to_json(&Fig7Report::from(&result)));
     } else {
-        vpc_bench::header("Figure 7", budget);
+        vpc_bench::header("Figure 7", cli.budget);
         println!("{result}");
     }
-    vpc_bench::report_timings("fig7", jobs, wall);
-    if let Some(path) = &trace_path {
-        vpc_bench::write_job_traces(path);
-    }
+    cli.finish("fig7", wall);
 }

@@ -8,21 +8,15 @@ use vpc::report::{to_json, Fig9Report};
 use vpc_workloads::SPEC_NAMES;
 
 fn main() {
-    vpc_bench::reject_unknown_flags(&["--quick", "--json", "--jobs", "--trace"]);
-    let budget = vpc_bench::budget_from_args();
-    let jobs = vpc_bench::jobs_from_args();
-    let trace_path = vpc_bench::trace_from_args();
+    let mut cli = vpc_bench::Cli::from_env(&["--quick", "--json", "--jobs", "--trace"]);
     let start = Instant::now();
-    let result = fig9::run(&CmpConfig::table1(), &SPEC_NAMES, budget);
+    let result = fig9::run(&mut cli.pool, &CmpConfig::table1(), &SPEC_NAMES, cli.budget);
     let wall = start.elapsed();
-    if vpc_bench::json_requested() {
+    if cli.json {
         println!("{}", to_json(&Fig9Report::from(&result)));
     } else {
-        vpc_bench::header("Figure 9", budget);
+        vpc_bench::header("Figure 9", cli.budget);
         println!("{result}");
     }
-    vpc_bench::report_timings("fig9", jobs, wall);
-    if let Some(path) = &trace_path {
-        vpc_bench::write_job_traces(path);
-    }
+    cli.finish("fig9", wall);
 }

@@ -15,7 +15,12 @@ use vpc_workloads::{loads_micro, record, spec, stores_micro, SPEC_NAMES};
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "art".into());
-    let count: usize = match args.next().unwrap_or_else(|| "10000".into()).parse() {
+    let count = args.next().unwrap_or_else(|| "10000".into());
+    if let Some(extra) = args.next() {
+        eprintln!("error: unexpected argument {extra:?} (usage: record_trace [WORKLOAD] [OPS])");
+        return ExitCode::from(2);
+    }
+    let count: usize = match count.parse() {
         Ok(n) => n,
         Err(e) => {
             eprintln!("error: bad op count: {e}");

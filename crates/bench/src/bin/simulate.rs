@@ -20,7 +20,7 @@ use vpc::experiments::fig5;
 use vpc::metrics::QosLedger;
 use vpc::prelude::*;
 use vpc_mem::ChannelMode;
-use vpc_sim::{exec, trace};
+use vpc_sim::trace;
 use vpc_workloads::SPEC_NAMES;
 
 #[derive(Debug)]
@@ -33,7 +33,6 @@ struct Args {
     cycles: u64,
     channels: String,
     lru_capacity: bool,
-    jobs: Option<usize>,
     trace: Option<PathBuf>,
     metrics: bool,
 }
@@ -66,7 +65,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         cycles: 200_000,
         channels: "private".into(),
         lru_capacity: false,
-        jobs: None,
         trace: None,
         metrics: false,
     };
@@ -101,13 +99,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--channels" => args.channels = value("--channels")?,
             "--lru-capacity" => args.lru_capacity = true,
-            "--jobs" => {
-                let n: usize = value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs needs a positive integer".into());
-                }
-                args.jobs = Some(n);
-            }
             "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
             "--metrics" => args.metrics = true,
             "--help" | "-h" => {
@@ -115,7 +106,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     "usage: simulate [--workloads a,b,c,d] [--arbiter fcfs|row|rr|vpc|drr|sfq]\n\
                      \x20               [--shares p/q,...] [--banks N] [--warmup N] [--cycles N]\n\
                      \x20               [--channels private|shared-fcfs|shared-fq] [--lru-capacity]\n\
-                     \x20               [--jobs N] [--trace out.json] [--metrics]\n\
+                     \x20               [--trace out.json] [--metrics]\n\
                      \n\
                      --trace writes a Chrome trace_event JSON of the measured window\n\
                      (open in chrome://tracing or Perfetto); --metrics prints the\n\
@@ -165,9 +156,6 @@ fn build_arbiter(args: &Args) -> Result<ArbiterPolicy, String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args(std::env::args().skip(1))?;
-    // Installed process-wide so any pooled work (and future parallel
-    // paths) honors the flag; the single CmpSystem run itself is serial.
-    exec::set_jobs(args.jobs);
     let threads = args.workloads.len();
     if threads == 0 || threads > 8 {
         return Err("1 to 8 workloads required".into());
@@ -303,6 +291,13 @@ mod tests {
         let err = parse(&["--cycles", "0"]).expect_err("a zero-cycle window has no IPC");
         assert!(err.contains("--cycles 0"), "{err}");
         assert_eq!(parse(&["--cycles", "1"]).expect("one cycle is a window").cycles, 1);
+    }
+
+    #[test]
+    fn jobs_is_not_a_simulate_flag() {
+        // One CmpSystem run is serial; a worker count would do nothing.
+        let err = parse(&["--jobs", "4"]).expect_err("--jobs is not taken");
+        assert!(err.contains("unknown flag \"--jobs\""), "{err}");
     }
 
     #[test]

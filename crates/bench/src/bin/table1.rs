@@ -3,10 +3,9 @@
 use vpc::prelude::*;
 
 fn main() {
-    vpc_bench::reject_unknown_flags(&["--quick", "--jobs"]);
+    vpc_bench::Cli::from_env(&["--quick", "--jobs"]);
     // `--quick` and `--jobs` are accepted for CLI uniformity with the
     // other binaries; printing the configuration spawns no simulation jobs.
-    let _ = vpc_bench::jobs_from_args();
     let cfg = CmpConfig::table1();
     println!("== Table 1: 2 GHz CMP System Configuration ==");
     println!("Processors            : {} processors", cfg.processors);

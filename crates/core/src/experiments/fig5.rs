@@ -14,7 +14,7 @@ use crate::metrics::QosLedger;
 use crate::system::CmpSystem;
 use vpc_arbiters::ArbiterPolicy;
 use vpc_cache::L2Utilization;
-use vpc_sim::exec::{self, Job};
+use vpc_sim::exec::{Job, Pool};
 use vpc_sim::{trace, Share};
 
 /// One bar group of Figure 5.
@@ -67,7 +67,7 @@ impl fmt::Display for Fig5Result {
 }
 
 /// Runs the Figure 5 sweep, one parallel job per (benchmark, bank count).
-pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig5Result {
+pub fn run(pool: &mut Pool, base: &CmpConfig, budget: RunBudget) -> Fig5Result {
     let mut jobs = Vec::new();
     for benchmark in [WorkloadSpec::Loads, WorkloadSpec::Stores] {
         for banks in [2usize, 4, 8, 16] {
@@ -81,7 +81,7 @@ pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig5Result {
             }));
         }
     }
-    Fig5Result { rows: exec::map_indexed(jobs, exec::jobs()) }
+    Fig5Result { rows: pool.map(jobs) }
 }
 
 /// Workloads of the 4-thread contention variant of the fig5
@@ -141,7 +141,7 @@ mod tests {
     fn microbenchmark_scaling_matches_paper_shape() {
         let mut base = CmpConfig::table1();
         base.l2.total_sets = 2048;
-        let r = run(&base, RunBudget::quick());
+        let r = run(&mut Pool::new(2), &base, RunBudget::quick());
         let loads2 = r.row("Loads", 2).unwrap().util.data_array;
         let loads4 = r.row("Loads", 4).unwrap().util.data_array;
         let loads16 = r.row("Loads", 16).unwrap().util.data_array;

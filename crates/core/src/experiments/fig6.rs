@@ -9,7 +9,7 @@
 use std::fmt;
 
 use vpc_cache::L2Utilization;
-use vpc_sim::exec::{self, Job};
+use vpc_sim::exec::{Job, Pool};
 use vpc_workloads::SPEC_NAMES;
 
 use crate::config::{CmpConfig, WorkloadSpec};
@@ -77,12 +77,12 @@ pub fn run_one(base: &CmpConfig, benchmark: &'static str, budget: RunBudget) -> 
 }
 
 /// Runs the full 18-benchmark series, one parallel job per benchmark.
-pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig6Result {
+pub fn run(pool: &mut Pool, base: &CmpConfig, budget: RunBudget) -> Fig6Result {
     let jobs = SPEC_NAMES
         .iter()
         .map(|&b| Job::new(format!("fig6/{b}"), move || run_one(base, b, budget)))
         .collect();
-    Fig6Result { rows: exec::map_indexed(jobs, exec::jobs()) }
+    Fig6Result { rows: pool.map(jobs) }
 }
 
 #[cfg(test)]

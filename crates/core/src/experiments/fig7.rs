@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use vpc_sim::exec::{self, Job};
+use vpc_sim::exec::{Job, Pool};
 use vpc_workloads::SPEC_NAMES;
 
 use crate::config::{CmpConfig, WorkloadSpec};
@@ -74,7 +74,7 @@ impl fmt::Display for Fig7Result {
 
 /// Runs the full series (each benchmark alone on the baseline cache), one
 /// parallel job per benchmark.
-pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig7Result {
+pub fn run(pool: &mut Pool, base: &CmpConfig, budget: RunBudget) -> Fig7Result {
     let jobs = SPEC_NAMES
         .iter()
         .map(|&benchmark| {
@@ -92,7 +92,7 @@ pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig7Result {
             })
         })
         .collect();
-    Fig7Result { rows: exec::map_indexed(jobs, exec::jobs()) }
+    Fig7Result { rows: pool.map(jobs) }
 }
 
 #[cfg(test)]

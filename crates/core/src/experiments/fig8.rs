@@ -12,7 +12,7 @@
 use std::fmt;
 
 use vpc_arbiters::ArbiterPolicy;
-use vpc_sim::exec::{self, Job};
+use vpc_sim::exec::{Job, Pool};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
@@ -89,7 +89,7 @@ fn run_pair(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> (f64
 /// Runs the Figure 8 sweep: RoW-FCFS, FCFS, and VPC with the Stores share
 /// at 0%, 25%, 50%, 75% and 100% — one parallel job per arbiter
 /// configuration.
-pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig8Result {
+pub fn run(pool: &mut Pool, base: &CmpConfig, budget: RunBudget) -> Fig8Result {
     let alpha = Share::new(1, 2).expect("two threads, equal ways");
     let mut jobs: Vec<Job<'_, Fig8Row>> = Vec::new();
 
@@ -142,7 +142,7 @@ pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig8Result {
             }
         }));
     }
-    Fig8Result { rows: exec::map_indexed(jobs, exec::jobs()) }
+    Fig8Result { rows: pool.map(jobs) }
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@
 //! ablations DESIGN.md calls out. Every runner takes a [`RunBudget`] so
 //! tests can use short windows while the bench binaries use full-length
 //! runs, and returns a typed result whose `Display` prints the same rows
-//! or series the paper reports.
+//! or series the paper reports. Runners that simulate a grid take the
+//! caller's [`vpc_sim::exec::Pool`] and run one job per grid point on it;
+//! their results do not depend on the pool's worker count.
 //!
 //! | Runner | Paper content |
 //! |---|---|

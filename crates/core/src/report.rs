@@ -271,7 +271,7 @@ pub struct TimingRow {
 }
 
 /// Where simulation time went: per-job wall-clock timings drained from
-/// the [`exec`] layer, aggregated by label.
+/// an [`exec::Pool`], aggregated by label.
 ///
 /// Timing is measurement noise, not figure data — the figure binaries
 /// print this to stderr so `--json` stdout stays byte-identical across
@@ -286,13 +286,7 @@ pub struct TimingReport {
 }
 
 impl TimingReport {
-    /// Drains every job timing the [`exec`] layer recorded since the last
-    /// drain and aggregates it.
-    pub fn drain() -> TimingReport {
-        TimingReport::from_timings(exec::take_timings())
-    }
-
-    /// Aggregates an explicit timing list (exposed for tests).
+    /// Aggregates a pool's job timings (see [`exec::Pool::take_timings`]).
     pub fn from_timings(timings: Vec<exec::JobTiming>) -> TimingReport {
         let mut rows: Vec<TimingRow> = Vec::new();
         let mut total = Duration::ZERO;
@@ -342,26 +336,6 @@ impl fmt::Display for TimingReport {
             writeln!(f, "  ... {} more label(s)", self.rows.len() - 12)?;
         }
         Ok(())
-    }
-}
-
-impl ToJson for TimingRow {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object([
-            ("label", JsonValue::from(self.label.as_str())),
-            ("runs", JsonValue::from(self.runs)),
-            ("total_ms", JsonValue::from(self.total.as_secs_f64() * 1e3)),
-        ])
-    }
-}
-
-impl ToJson for TimingReport {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object([
-            ("jobs", JsonValue::from(self.jobs())),
-            ("total_ms", JsonValue::from(self.total.as_secs_f64() * 1e3)),
-            ("rows", rows_json(&self.rows)),
-        ])
     }
 }
 
@@ -606,7 +580,6 @@ mod tests {
         assert_eq!(report.rows[1].label, "fig6/mcf");
         let text = report.to_string();
         assert!(text.contains("3 job(s)"), "{text}");
-        assert!(to_json(&report).contains("\"total_ms\": 65.0"));
     }
 
     /// Tuple rows (figure 7) serialize as plain JSON arrays.

@@ -16,8 +16,8 @@
 //! * **Recording is thread-local.** [`install`] arms the current thread,
 //!   [`take`] disarms it and returns the log. Each [`crate::exec`] job
 //!   runs entirely on one worker thread, so per-job capture (see
-//!   [`set_capture`]) composes with the thread pool: job traces are
-//!   collected in input order regardless of worker count.
+//!   [`crate::exec::Pool::with_capture`]) composes with the thread pool:
+//!   job traces are collected in input order regardless of worker count.
 //! * **The log is bounded.** A [`TraceLog`] created with capacity `c`
 //!   retains the *first* `c` events and counts every later event in
 //!   [`TraceLog::dropped`]; retained events are never reordered or
@@ -53,8 +53,6 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::types::{AccessKind, Cycle, LineAddr, ThreadId};
 
@@ -315,14 +313,6 @@ thread_local! {
     static RECORDER: RefCell<Option<TraceLog>> = const { RefCell::new(None) };
 }
 
-/// Process-global per-job capture request for the [`crate::exec`] pool
-/// (0 = capture off).
-static CAPTURE_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-global sink of per-job logs, filled by [`crate::exec::map_indexed`]
-/// in input order and drained by [`take_job_logs`].
-static JOB_LOGS: Mutex<Vec<(String, TraceLog)>> = Mutex::new(Vec::new());
-
 /// Arms the current thread with a fresh recorder of the given capacity,
 /// discarding any previous one.
 pub fn install(capacity: usize) {
@@ -350,34 +340,6 @@ pub fn emit<F: FnOnce() -> TraceEvent>(f: F) {
             log.push(f());
         }
     });
-}
-
-/// Requests (or cancels, with `None`) per-job trace capture from the
-/// [`crate::exec`] pool: each subsequent job runs with a recorder of the
-/// given capacity, and its log lands in the [`take_job_logs`] sink under
-/// the job's label. The binaries call this when `--trace` is passed.
-pub fn set_capture(capacity: Option<usize>) {
-    CAPTURE_CAPACITY.store(capacity.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The active per-job capture capacity, if capture is on.
-pub fn capture_capacity() -> Option<usize> {
-    match CAPTURE_CAPACITY.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Drains and returns every per-job log captured since the last call, in
-/// job-batch input order.
-pub fn take_job_logs() -> Vec<(String, TraceLog)> {
-    std::mem::take(&mut JOB_LOGS.lock().expect("job log sink poisoned"))
-}
-
-/// Appends a batch of per-job logs to the sink (called by
-/// [`crate::exec::map_indexed`] after joining a batch).
-pub(crate) fn push_job_logs(logs: Vec<(String, TraceLog)>) {
-    JOB_LOGS.lock().expect("job log sink poisoned").extend(logs);
 }
 
 #[cfg(test)]
@@ -430,14 +392,5 @@ mod tests {
         assert_eq!(ResourceId::data_array(3).to_string(), "bank3.data");
         assert_eq!(ResourceId::data_bus(1).to_string(), "bank1.bus");
         assert_eq!(ResourceId::dram_channel(2).to_string(), "chan2.dram");
-    }
-
-    #[test]
-    fn capture_request_roundtrips() {
-        assert_eq!(capture_capacity(), None);
-        set_capture(Some(128));
-        assert_eq!(capture_capacity(), Some(128));
-        set_capture(None);
-        assert_eq!(capture_capacity(), None);
     }
 }

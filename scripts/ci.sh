@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "== no process-global mutable state (non-test source under crates/) =="
+scripts/check-global-state.sh
+
 echo "== build (release, offline) =="
 cargo build --release
 cargo build --release --workspace --bins

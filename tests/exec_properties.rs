@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vpc_sim::check::{self, Config};
 use vpc_sim::ensure;
-use vpc_sim::exec::{self, Job};
+use vpc_sim::exec::{Job, Pool};
 
 #[test]
 fn every_job_runs_exactly_once_in_input_order() {
@@ -28,7 +28,7 @@ fn every_job_runs_exactly_once_in_input_order() {
                 })
             })
             .collect();
-        let out = exec::map_indexed(jobs, parallelism);
+        let out = Pool::new(parallelism).map(jobs);
         ensure!(
             out == (0..n).collect::<Vec<_>>(),
             "results out of order at n={n}, parallelism={parallelism}: {out:?}"
@@ -39,7 +39,6 @@ fn every_job_runs_exactly_once_in_input_order() {
         }
         Ok(())
     });
-    exec::take_timings();
 }
 
 #[test]
@@ -47,10 +46,10 @@ fn one_timing_per_job_in_input_order() {
     check::forall("exec_timings_match_jobs", Config::cases(32), |rng| {
         let n = rng.below(20) as usize;
         let parallelism = 1 + rng.below(6) as usize;
-        exec::take_timings();
+        let mut pool = Pool::new(parallelism);
         let jobs = (0..n).map(|i| Job::new(format!("timed/{i}"), move || i)).collect::<Vec<_>>();
-        exec::map_indexed(jobs, parallelism);
-        let timings = exec::take_timings();
+        pool.map(jobs);
+        let timings = pool.take_timings();
         ensure!(timings.len() == n, "{} timings for {n} jobs", timings.len());
         for (i, timing) in timings.iter().enumerate() {
             ensure!(
@@ -79,12 +78,9 @@ fn panicking_job_surfaces_its_label() {
                 })
             })
             .collect();
-        let payload =
-            panic::catch_unwind(AssertUnwindSafe(|| exec::map_indexed(jobs, parallelism)))
-                .err()
-                .ok_or_else(|| {
-                    format!("batch with a panicking job returned Ok (victim {victim})")
-                })?;
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| Pool::new(parallelism).map(jobs)))
+            .err()
+            .ok_or_else(|| format!("batch with a panicking job returned Ok (victim {victim})"))?;
         let message = payload
             .downcast_ref::<String>()
             .cloned()
@@ -99,7 +95,6 @@ fn panicking_job_surfaces_its_label() {
         );
         Ok(())
     });
-    exec::take_timings();
 }
 
 #[test]
@@ -112,7 +107,7 @@ fn results_are_independent_of_parallelism() {
                 .iter()
                 .map(|&v| Job::new("mix", move || v.wrapping_mul(0x9E37_79B9).rotate_left(13)))
                 .collect();
-            exec::map_indexed(jobs, parallelism)
+            Pool::new(parallelism).map(jobs)
         };
         let serial = run(1);
         for parallelism in [2usize, 4, 16] {
@@ -124,5 +119,4 @@ fn results_are_independent_of_parallelism() {
         }
         Ok(())
     });
-    exec::take_timings();
 }

@@ -106,13 +106,13 @@ fn heterogeneous_cores_compose_with_the_system() {
 
 /// Full-length calibration regression: the 18 SPEC profiles preserve the
 /// paper's Figure 6 ordering and aggregate. All 18 standard-budget runs
-/// go through the `exec` job pool, which keeps this fast enough to run
+/// go through a 4-worker `exec` pool, which keeps this fast enough to run
 /// by default.
 #[test]
 fn spec_calibration_matches_figure6_shape() {
     use vpc::experiments::{fig6, RunBudget};
     let base = CmpConfig::table1();
-    let r = fig6::run(&base, RunBudget::standard());
+    let r = fig6::run(&mut vpc_sim::exec::Pool::new(4), &base, RunBudget::standard());
     // Mean data-array utilization near the paper's 26%.
     let mean = r.mean_data_util();
     assert!(

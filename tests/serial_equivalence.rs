@@ -1,34 +1,23 @@
 //! The headline guarantee of the parallel experiment engine: running a
 //! figure grid with `--jobs 4` produces output *byte-identical* to
-//! `--jobs 1`. Each runner here renders its `ToJson` report under both
-//! worker counts and compares the strings.
+//! `--jobs 1`. Each figure runner here renders its `ToJson` report, and
+//! each ablation its `Display` text (what the `ablations` binary prints),
+//! under both worker counts, and the strings are compared.
 //!
-//! The worker-count override is process-global, so every test serializes
-//! on one mutex and restores the default before releasing it.
-
-use std::sync::Mutex;
+//! Each render gets its own pool, so these tests share no state and run
+//! in parallel with each other and with every other test.
 
 use vpc::experiments::{fig10, fig5, fig6, fig7, fig8, fig9, RunBudget};
 use vpc::prelude::*;
 use vpc::report::{
     to_json, Fig10Report, Fig5Report, Fig6Report, Fig7Report, Fig8Report, Fig9Report,
 };
-use vpc_sim::exec;
+use vpc_sim::exec::Pool;
 
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Renders `render()` once at 1 worker and once at 4, returning both
-/// strings. Holds the global jobs lock for the duration and always
-/// restores the default worker count.
-fn render_at_1_and_4(render: impl Fn() -> String) -> (String, String) {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    exec::set_jobs(Some(1));
-    let serial = render();
-    exec::set_jobs(Some(4));
-    let parallel = render();
-    exec::set_jobs(None);
-    exec::take_timings();
-    (serial, parallel)
+/// Renders `render(pool)` once on a 1-worker pool and once on a 4-worker
+/// pool, returning both strings.
+fn render_at_1_and_4(render: impl Fn(&mut Pool) -> String) -> (String, String) {
+    (render(&mut Pool::new(1)), render(&mut Pool::new(4)))
 }
 
 fn small_base() -> CmpConfig {
@@ -40,24 +29,27 @@ fn small_base() -> CmpConfig {
 #[test]
 fn fig5_is_serial_equivalent() {
     let base = small_base();
-    let (serial, parallel) =
-        render_at_1_and_4(|| to_json(&Fig5Report::from(&fig5::run(&base, RunBudget::quick()))));
+    let (serial, parallel) = render_at_1_and_4(|pool| {
+        to_json(&Fig5Report::from(&fig5::run(pool, &base, RunBudget::quick())))
+    });
     assert_eq!(serial, parallel, "fig5 output depends on the worker count");
 }
 
 #[test]
 fn fig6_is_serial_equivalent() {
     let base = small_base();
-    let (serial, parallel) =
-        render_at_1_and_4(|| to_json(&Fig6Report::from(&fig6::run(&base, RunBudget::quick()))));
+    let (serial, parallel) = render_at_1_and_4(|pool| {
+        to_json(&Fig6Report::from(&fig6::run(pool, &base, RunBudget::quick())))
+    });
     assert_eq!(serial, parallel, "fig6 output depends on the worker count");
 }
 
 #[test]
 fn fig7_is_serial_equivalent() {
     let base = small_base();
-    let (serial, parallel) =
-        render_at_1_and_4(|| to_json(&Fig7Report::from(&fig7::run(&base, RunBudget::quick()))));
+    let (serial, parallel) = render_at_1_and_4(|pool| {
+        to_json(&Fig7Report::from(&fig7::run(pool, &base, RunBudget::quick())))
+    });
     assert_eq!(serial, parallel, "fig7 output depends on the worker count");
 }
 
@@ -68,8 +60,9 @@ fn fig8_is_serial_equivalent() {
         cfg.l2.total_sets = 1024;
         cfg
     };
-    let (serial, parallel) =
-        render_at_1_and_4(|| to_json(&Fig8Report::from(&fig8::run(&base, RunBudget::quick()))));
+    let (serial, parallel) = render_at_1_and_4(|pool| {
+        to_json(&Fig8Report::from(&fig8::run(pool, &base, RunBudget::quick())))
+    });
     assert_eq!(serial, parallel, "fig8 output depends on the worker count");
 }
 
@@ -78,8 +71,8 @@ fn fig9_is_serial_equivalent() {
     // Two benchmarks (14 simulations) keep the debug-mode runtime sane;
     // the full 18-benchmark grid goes through the same code path.
     let base = small_base();
-    let (serial, parallel) = render_at_1_and_4(|| {
-        to_json(&Fig9Report::from(&fig9::run(&base, &["gcc", "art"], RunBudget::quick())))
+    let (serial, parallel) = render_at_1_and_4(|pool| {
+        to_json(&Fig9Report::from(&fig9::run(pool, &base, &["gcc", "art"], RunBudget::quick())))
     });
     assert_eq!(serial, parallel, "fig9 output depends on the worker count");
 }
@@ -87,9 +80,41 @@ fn fig9_is_serial_equivalent() {
 #[test]
 fn fig10_is_serial_equivalent() {
     let base = small_base();
-    let (serial, parallel) = render_at_1_and_4(|| {
+    let (serial, parallel) = render_at_1_and_4(|pool| {
         let mixes = [["gcc", "gzip", "twolf", "ammp"]];
-        to_json(&Fig10Report::from(&fig10::run(&base, &mixes, RunBudget::quick())))
+        to_json(&Fig10Report::from(&fig10::run(pool, &base, &mixes, RunBudget::quick())))
     });
     assert_eq!(serial, parallel, "fig10 output depends on the worker count");
+}
+
+/// One test per ablation runner, at `tests/experiments_smoke.rs`'s
+/// scale (the 1024-set base, a tiny budget), comparing the `Display`
+/// text the `ablations` binary prints.
+macro_rules! ablations_are_serial_equivalent {
+    ($($runner:ident),* $(,)?) => {$(
+        #[test]
+        fn $runner() {
+            let base = super::small_base();
+            let budget = RunBudget { warmup: 6_000, window: 20_000 };
+            let (serial, parallel) = super::render_at_1_and_4(|pool| {
+                ablations::$runner(pool, &base, budget).to_string()
+            });
+            assert_eq!(serial, parallel, "output depends on the worker count");
+        }
+    )*};
+}
+
+mod ablation_is_serial_equivalent {
+    use vpc::experiments::{ablations, RunBudget};
+
+    ablations_are_serial_equivalent!(
+        reorder,
+        capacity,
+        preemption,
+        memory_fq,
+        prefetch,
+        fairness_policies,
+        scaling,
+        work_conservation,
+    );
 }
